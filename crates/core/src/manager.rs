@@ -887,6 +887,20 @@ impl SessionManager {
     /// one is attached) under the usual cursor discipline, so a promoted
     /// standby is durably journaled from its first turn as primary.
     pub fn apply_replicated(&self, records: &[(SessionId, u64, SessionOp)]) -> ReplicatedStats {
+        self.apply_replicated_with_progress(records, 0, |_| {})
+    }
+
+    /// [`SessionManager::apply_replicated`] that calls `progress(n)` after
+    /// every `every` records (never when `every` is 0), `n` being the
+    /// records done so far. A long replay (a large snapshot) reports
+    /// liveness between chunks while the skip rules see the batch whole:
+    /// a snapshot section split across two chunks still skips as one.
+    pub fn apply_replicated_with_progress(
+        &self,
+        records: &[(SessionId, u64, SessionOp)],
+        every: usize,
+        mut progress: impl FnMut(usize),
+    ) -> ReplicatedStats {
         let mut stats = ReplicatedStats::default();
         let mut snapshot_skip: std::collections::HashSet<SessionId> =
             std::collections::HashSet::new();
@@ -900,7 +914,10 @@ impl SessionManager {
                 mgr.journal_write_errors.fetch_add(1, Ordering::Relaxed);
             }
         };
-        for (sid, seq, op) in records {
+        for (i, (sid, seq, op)) in records.iter().enumerate() {
+            if i > 0 && i.checked_rem(every) == Some(0) {
+                progress(i);
+            }
             max_id = max_id.max(*sid);
             match op {
                 SessionOp::Create => {
@@ -1637,6 +1654,14 @@ mod tests {
         assert_eq!(primary.journal_stats().unwrap().epoch, before + 1);
         let stats = ship_full(&standby, &path);
         assert_eq!(stats.records_applied, 0, "resnapshot overlap is all skips");
+        // Reporting progress after every record splits the snapshot
+        // section record by record; it must still skip as one section.
+        let replay = crate::journal::read_journal(&path).unwrap();
+        let mut reports = Vec::new();
+        let chunked =
+            standby.apply_replicated_with_progress(&replay.records, 1, |n| reports.push(n));
+        assert_eq!(chunked, stats, "chunked replay matches a whole one");
+        assert_eq!(reports, (1..replay.records.len()).collect::<Vec<_>>());
         assert_eq!(
             standby
                 .with_session(s1, |s| Ok(s.examples().join("|")))

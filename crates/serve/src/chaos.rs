@@ -35,7 +35,9 @@
 //! standby, and resumes traffic. Clients ride through on address
 //! failover + `not_primary` hints. Roles alternate every kill. The same
 //! two invariants are verified at the end against the final primary —
-//! across promotions, not just restarts.
+//! across promotions, not just restarts. The summary line also prints the
+//! slowest promotion (first `promote` request to the standby answering
+//! `primary`); it is reported, not gated.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -109,8 +111,10 @@ pub struct ChaosReport {
     pub sql_mismatches: u64,
     /// Journal compactions the server performed during the run.
     pub compactions: u64,
-    /// Standby promotions performed (`--standby` mode; 0 otherwise).
-    pub promotions: u32,
+    /// Each standby promotion's time from the first `promote` request to
+    /// the standby reporting `primary`, in order (`--standby` mode; empty
+    /// otherwise).
+    pub promote_times: Vec<Duration>,
     /// Aggregated client-side retry work.
     pub counters: RetryCounters,
     /// Wall clock of the whole run.
@@ -125,13 +129,18 @@ impl ChaosReport {
 
     /// One-line human rendering.
     pub fn summary(&self) -> String {
+        let max_promote = match self.promote_times.iter().max() {
+            Some(max) => format!(" (max promote {max:.2?})"),
+            None => String::new(),
+        };
         format!(
-            "{}: {} kills, {} promotions, {} sessions, {} turns acked, {} lost, \
+            "{}: {} kills, {} promotions{}, {} sessions, {} turns acked, {} lost, \
              {} sql mismatches, {} compactions in {:.2?} (retries {}, reconnects {}, \
              deduped {}, rate_limited {}, failovers {})",
             if self.passed() { "PASS" } else { "FAIL" },
             self.kills,
-            self.promotions,
+            self.promote_times.len(),
+            max_promote,
             self.sessions,
             self.turns_acked,
             self.lost_turns,
@@ -432,7 +441,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
         lost_turns,
         sql_mismatches,
         compactions,
-        promotions: 0,
+        promote_times: Vec::new(),
         counters,
         wall: started.elapsed(),
     })
@@ -529,14 +538,15 @@ fn wait_zero_lag(addr: &str, deadline: Duration) -> Result<(), String> {
     }
 }
 
-/// Drive the `promote` verb on a standby until it reports `primary`.
-fn promote_node(addr: &str, deadline: Duration) -> Result<(), String> {
+/// Drive the `promote` verb on a standby until it reports `primary`;
+/// returns how long that took.
+fn promote_node(addr: &str, deadline: Duration) -> Result<Duration, String> {
     let t0 = Instant::now();
     loop {
         if let Ok(mut c) = Client::connect(addr) {
             let _ = c.set_read_timeout(Some(Duration::from_secs(15)));
             match c.promote() {
-                Ok(role) if role == "primary" => return Ok(()),
+                Ok(role) if role == "primary" => return Ok(t0.elapsed()),
                 Ok(_) | Err(_) => {}
             }
         }
@@ -589,7 +599,7 @@ fn run_chaos_standby(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
     let idle = AtomicUsize::new(0);
     let addrs: Vec<String> = nodes.iter().map(|n| n.addr.clone()).collect();
     let mut primary = 0usize;
-    let mut promotions = 0u32;
+    let mut promote_times = Vec::new();
     let logs: Result<Vec<ClientLog>, String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.clients.max(1))
             .map(|i| {
@@ -610,14 +620,13 @@ fn run_chaos_standby(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
             let _ = children[primary].kill();
             let _ = children[primary].wait();
             let standby = 1 - primary;
-            promote_node(&nodes[standby].addr, quiesce_deadline)?;
+            promote_times.push(promote_node(&nodes[standby].addr, quiesce_deadline)?);
             // Relaunch the corpse as the new primary's standby: it
             // re-bootstraps from a SNAP, so its stale journal is moot.
             children[primary] =
                 spawn_server(&nodes[primary].argv(cfg, Some(&nodes[standby].repl)))?;
             wait_ready(&nodes[primary].addr, ready_deadline)?;
             primary = standby;
-            promotions += 1;
             pause.store(false, Ordering::Relaxed);
             Ok(())
         };
@@ -673,7 +682,7 @@ fn run_chaos_standby(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
         lost_turns,
         sql_mismatches,
         compactions,
-        promotions,
+        promote_times,
         counters,
         wall: started.elapsed(),
     })

@@ -41,6 +41,11 @@
 //!   carrying the standby's applied byte offset and record count, from
 //!   which the primary computes replication lag.
 //!
+//! A standby replaying a large SNAP sends a `PROGRESS` frame after every
+//! [`SNAP_CHUNK`] records. The primary's ack wait bounds *silence*, not
+//! total work, so any frame from the peer restarts its clock; a peer that
+//! predates `PROGRESS` ignores the tag like any other unknown frame.
+//!
 //! The stream is lock-step (one outstanding frame), which makes lag
 //! accounting exact and keeps the protocol trivially correct; journal
 //! append rates are bounded by discovery work, not by this link.
@@ -55,7 +60,7 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -68,17 +73,23 @@ const TAG_ADB: u8 = 2;
 const TAG_SNAP: u8 = 3;
 const TAG_RECS: u8 = 4;
 const TAG_ACK: u8 = 5;
+const TAG_PROGRESS: u8 = 6;
 /// Frames above this are a protocol violation (the αDB snapshot is the
 /// largest legitimate payload).
 const MAX_FRAME: usize = 1 << 30;
 /// How often the sender looks for newly appended journal bytes.
 const SEND_POLL: Duration = Duration::from_millis(20);
-/// Socket-level read timeout: the granularity at which blocked reads
-/// re-check stop/promote flags.
+/// Socket-level read timeout: how often a blocked read on a link that is
+/// still up re-checks the stop/promote flags. A dead peer's EOF ends the
+/// read at once, and a link that is down waits on [`ReplState`]'s wake-up
+/// instead, so promotion after a crash never waits for this.
 const READ_POLL: Duration = Duration::from_millis(100);
-/// How long the primary waits for a standby's ACK before declaring the
-/// link dead.
+/// How long the primary hears nothing from a standby it awaits an ACK
+/// from before declaring the link dead.
 const ACK_DEADLINE: Duration = Duration::from_secs(10);
+/// Records a standby replays between `PROGRESS` frames while absorbing a
+/// SNAP: tens of milliseconds of work, far inside [`ACK_DEADLINE`].
+const SNAP_CHUNK: usize = 4096;
 /// Standby reconnect pacing after a link failure.
 const RECONNECT_DELAY: Duration = Duration::from_millis(100);
 
@@ -97,6 +108,11 @@ pub struct ReplState {
     role: AtomicU8,
     promote: AtomicBool,
     stop: AtomicBool,
+    /// Wakes [`ReplState::wait_for`] callers when `role`, `promote` or
+    /// `stop` changes. Setters store the flag, then notify under `wake_lock`;
+    /// waiters test their condition under it, so no wake-up is lost.
+    wake_lock: Mutex<()>,
+    wake: Condvar,
     /// The current primary's *client* address — what `not_primary`
     /// refusals hint. On a standby this arrives in every SNAP frame; on a
     /// primary it is its own serve address.
@@ -121,6 +137,8 @@ impl ReplState {
             role: AtomicU8::new(role as u8),
             promote: AtomicBool::new(false),
             stop: AtomicBool::new(false),
+            wake_lock: Mutex::new(()),
+            wake: Condvar::new(),
             primary_addr: Mutex::new(None),
             standby_connected: AtomicBool::new(false),
             acked_epoch: AtomicU64::new(0),
@@ -142,11 +160,12 @@ impl ReplState {
         }
     }
 
-    /// Latch a promotion request (the `promote` verb / SIGUSR1 path). The
-    /// standby link thread drains the stream and flips the role; callers
-    /// poll [`ReplState::role`] for completion.
+    /// Latch a promotion request (the `promote` verb / SIGUSR1 path) and
+    /// wake the standby link. The link drains the stream and flips the
+    /// role, which wakes [`crate::Server::promote`] in turn.
     pub fn request_promotion(&self) {
         self.promote.store(true, Ordering::Release);
+        self.notify();
     }
 
     /// Whether promotion has been requested.
@@ -157,6 +176,29 @@ impl ReplState {
     /// Ask every replication thread to wind down.
     pub fn request_stop(&self) {
         self.stop.store(true, Ordering::Release);
+        self.notify();
+    }
+
+    fn notify(&self) {
+        let _guard = self
+            .wake_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.wake.notify_all();
+    }
+
+    /// Block until `done` holds or `timeout` passes; returns whether it
+    /// holds. Woken by every role, promotion and stop change.
+    pub(crate) fn wait_for(&self, timeout: Duration, done: impl Fn(&ReplState) -> bool) -> bool {
+        let guard = self
+            .wake_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let _ = self
+            .wake
+            .wait_timeout_while(guard, timeout, |_| !done(self))
+            .unwrap_or_else(PoisonError::into_inner);
+        done(self)
     }
 
     fn stopping(&self) -> bool {
@@ -222,6 +264,7 @@ impl ReplState {
     /// drain completes (also used by pure-primary startup).
     fn become_primary(&self) {
         self.role.store(Role::Primary as u8, Ordering::Release);
+        self.notify();
     }
 }
 
@@ -449,27 +492,6 @@ fn serve_standby(manager: &SessionManager, stream: TcpStream, state: &ReplState)
         write_frame(&mut writer, TAG_ADB, &payload)?;
     }
 
-    let wait_ack = |reader: &mut FrameReader, state: &ReplState| -> io::Result<bool> {
-        let deadline = Instant::now() + ACK_DEADLINE;
-        loop {
-            match reader.next_frame()? {
-                Some((TAG_ACK, p)) => {
-                    state.record_ack(get_u64(&p, 0)?, get_u64(&p, 8)?, get_u64(&p, 16)?);
-                    return Ok(true);
-                }
-                Some(_) => continue,
-                None if state.stopping() => return Ok(false),
-                None if Instant::now() >= deadline => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "standby ack overdue",
-                    ))
-                }
-                None => continue,
-            }
-        }
-    };
-
     let mut epoch: Option<u64> = None;
     let mut tail: Option<JournalTail> = None;
     // `tail` stays `None` on a journal-less primary (nothing to stream,
@@ -486,7 +508,7 @@ fn serve_standby(manager: &SessionManager, stream: TcpStream, state: &ReplState)
             put_str(&mut payload, &state.primary_addr().unwrap_or_default());
             payload.extend_from_slice(&bytes);
             write_frame(&mut writer, TAG_SNAP, &payload)?;
-            if !wait_ack(&mut reader, state)? {
+            if !wait_ack(&mut reader, state, ACK_DEADLINE)? {
                 return Ok(());
             }
             let path = manager.journal_stats().map(|s| s.path);
@@ -538,11 +560,36 @@ fn serve_standby(manager: &SessionManager, stream: TcpStream, state: &ReplState)
         put_u64(&mut payload, batch.start_offset);
         payload.extend_from_slice(&batch.raw);
         write_frame(&mut writer, TAG_RECS, &payload)?;
-        if !wait_ack(&mut reader, state)? {
+        if !wait_ack(&mut reader, state, ACK_DEADLINE)? {
             return Ok(());
         }
     }
     Ok(())
+}
+
+/// Wait for the standby's ACK and record it. `silence` bounds the gap
+/// between frames, not the whole wait: any other frame (a `PROGRESS`
+/// during a long SNAP replay) restarts the clock. `Ok(false)` when the
+/// node is stopping.
+fn wait_ack(reader: &mut FrameReader, state: &ReplState, silence: Duration) -> io::Result<bool> {
+    let mut deadline = Instant::now() + silence;
+    loop {
+        match reader.next_frame()? {
+            Some((TAG_ACK, p)) => {
+                state.record_ack(get_u64(&p, 0)?, get_u64(&p, 8)?, get_u64(&p, 16)?);
+                return Ok(true);
+            }
+            Some(_) => deadline = Instant::now() + silence,
+            None if state.stopping() => return Ok(false),
+            None if Instant::now() >= deadline => {
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "standby ack overdue",
+                ))
+            }
+            None => {}
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -617,10 +664,10 @@ pub fn start_standby_link(
         .name("squid-repl-standby".into())
         .spawn(move || {
             while !state.stopping() && !state.promotion_requested() {
-                match run_link(&manager, &primary, &state) {
-                    Ok(()) => {}
-                    Err(_) if state.stopping() || state.promotion_requested() => {}
-                    Err(_) => thread::sleep(RECONNECT_DELAY),
+                if run_link(&manager, &primary, &state).is_err() {
+                    // Pace reconnects to a restarting primary, but leave
+                    // at once on promote or stop.
+                    state.wait_for(RECONNECT_DELAY, |s| s.stopping() || s.promotion_requested());
                 }
                 state.link_up.store(false, Ordering::Release);
             }
@@ -670,7 +717,16 @@ fn run_link(manager: &SessionManager, primary: &str, state: &ReplState) -> io::R
                 let (records, valid) = scan_records(&payload[at..]);
                 let keep: std::collections::HashSet<_> =
                     records.iter().map(|(sid, _, _)| *sid).collect();
-                manager.apply_replicated(&records);
+                let mut progress_err = None;
+                manager.apply_replicated_with_progress(&records, SNAP_CHUNK, |done| {
+                    if progress_err.is_none() {
+                        let done = (done as u64).to_le_bytes();
+                        progress_err = write_frame(&mut writer, TAG_PROGRESS, &done).err();
+                    }
+                });
+                if let Some(e) = progress_err {
+                    return Err(e);
+                }
                 manager.retain_sessions(&keep);
                 // Resync the local journal to exactly the snapshot state:
                 // stale local records + a re-applied snapshot section
@@ -756,6 +812,75 @@ mod tests {
         };
         assert_eq!(got, (TAG_RECS, b"abcdef".to_vec()));
         writer.join().unwrap();
+    }
+
+    /// A connected `(peer, reader)` pair over loopback. The reader's reads
+    /// time out every 2 ms, so short ack deadlines are checked promptly.
+    fn loopback() -> (TcpStream, FrameReader) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let reader = FrameReader::new(listener.accept().unwrap().0).unwrap();
+        reader
+            .stream
+            .set_read_timeout(Some(Duration::from_millis(2)))
+            .unwrap();
+        (peer, reader)
+    }
+
+    #[test]
+    fn ack_wait_is_kept_alive_by_progress_frames() {
+        let (mut peer, mut reader) = loopback();
+        let silence = Duration::from_millis(40);
+        let writer = thread::spawn(move || {
+            // Progress for five deadlines' worth, then the ACK.
+            let t0 = Instant::now();
+            while t0.elapsed() < silence * 5 {
+                write_frame(&mut peer, TAG_PROGRESS, &7u64.to_le_bytes()).unwrap();
+                thread::sleep(Duration::from_millis(5));
+            }
+            ack(&mut peer, 3, 200, 9).unwrap();
+            peer
+        });
+        let state = ReplState::new(Role::Primary);
+        assert!(wait_ack(&mut reader, &state, silence).unwrap());
+        assert_eq!(state.acked_offset.load(Ordering::Acquire), 200);
+        drop(writer.join().unwrap());
+    }
+
+    #[test]
+    fn ack_wait_times_out_on_silence() {
+        let (_peer, mut reader) = loopback();
+        let state = ReplState::new(Role::Primary);
+        let err = wait_ack(&mut reader, &state, Duration::from_millis(5)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+    }
+
+    #[test]
+    fn stop_wakes_a_standby_link_whose_primary_is_gone() {
+        // A port nobody listens on: every connect is refused, so the link
+        // spends its life in the reconnect wait.
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let adb = Arc::new(ADb::build(&squid_adb::test_fixtures::mini_imdb()).unwrap());
+        let state = Arc::new(ReplState::new(Role::Standby));
+        let link = start_standby_link(
+            Arc::new(SessionManager::new(adb)),
+            dead.to_string(),
+            Arc::clone(&state),
+        )
+        .unwrap();
+        thread::sleep(Duration::from_millis(10));
+        let t0 = Instant::now();
+        state.request_stop();
+        link.shutdown();
+        let joined = t0.elapsed();
+        assert!(
+            joined < RECONNECT_DELAY / 2,
+            "stop took {joined:?} to end the reconnect wait"
+        );
+        assert_eq!(state.role(), Role::Standby, "a stop is not a promotion");
     }
 
     #[test]

@@ -972,15 +972,14 @@ fn do_promote(shared: &Shared, deadline: Duration) -> Role {
         return Role::Primary;
     }
     shared.repl.request_promotion();
-    let end = Instant::now() + deadline;
-    while Instant::now() < end {
-        if shared.repl.role() == Role::Primary {
-            shared.repl.set_primary_addr(&shared.addr.to_string());
-            return Role::Primary;
-        }
-        std::thread::sleep(Duration::from_millis(5));
+    if shared
+        .repl
+        .wait_for(deadline, |r| r.role() == Role::Primary)
+    {
+        shared.repl.set_primary_addr(&shared.addr.to_string());
+        return Role::Primary;
     }
-    shared.repl.role()
+    Role::Standby
 }
 
 type ExecResult = Result<(Json, Flow), Refusal>;

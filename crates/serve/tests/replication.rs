@@ -193,3 +193,49 @@ fn fetch_adb_bootstraps_a_dataset_free_standby() {
     twin.shutdown();
     primary.shutdown();
 }
+
+#[test]
+fn promotion_after_primary_loss_is_woken_not_paced_by_a_timer() {
+    // The standby link sees the dead primary's EOF before `promote`
+    // arrives. A link that slept out its reconnect pause (100 ms) would
+    // hold every promotion for most of it; a woken one answers at once.
+    let mut round_trips = Vec::new();
+    for cycle in 0..5 {
+        let primary = Server::start(
+            Arc::new(journaled_manager(&format!("latency-primary-{cycle}"))),
+            ServeConfig {
+                replicate_to: Some("127.0.0.1:0".into()),
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let standby = Server::start(
+            Arc::new(journaled_manager(&format!("latency-standby-{cycle}"))),
+            ServeConfig {
+                standby_of: Some(primary.repl_addr().unwrap().to_string()),
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let mut pc = Client::connect(primary.local_addr()).unwrap();
+        let sid = pc.create().unwrap();
+        pc.add(sid, "Jim Carrey").unwrap();
+        wait_for_zero_lag(&mut pc, Duration::from_secs(10));
+        drop(pc);
+        let mut sc = Client::connect(standby.local_addr()).unwrap();
+        primary.shutdown();
+        let t0 = Instant::now();
+        assert_eq!(sc.promote().unwrap(), "primary");
+        round_trips.push(t0.elapsed());
+        sc.add(sid, "Eddie Murphy").unwrap();
+        drop(sc);
+        standby.shutdown();
+    }
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    // Half the standby link's 100 ms reconnect pause.
+    assert!(
+        median < Duration::from_millis(50),
+        "median promote round trip {median:?} (all: {round_trips:?})"
+    );
+}
